@@ -9,6 +9,9 @@
  * the reported medians; this file only measures.
  *
  *   perfbench_driver --workload NAME --seed N --trace 0|1 [--setup-only]
+ *                    [--cpu K]
+ *
+ * --cpu pins the process to CPU K rather than to the CPU it starts on.
  *
  * A fresh process per sample makes every sample pay what one invocation
  * of the simulator pays (static registration, table4's pretraining
@@ -21,6 +24,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ctime>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -60,9 +64,19 @@ processCpuSeconds()
     return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
 }
 
+/**
+ * Resident high-water mark of this process's own address space (VmHWM).
+ * getrusage's ru_maxrss is not used: it also keeps the parent's resident
+ * size from before exec when the parent forked rather than vforked, so it
+ * would depend on how run.py starts the driver.
+ */
 long
 peakRssKb()
 {
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::stol(line.substr(6)); // KiB
     struct rusage usage {};
     if (getrusage(RUSAGE_SELF, &usage) != 0)
         return 0;
@@ -568,7 +582,8 @@ sampleJson(const Sample &s)
 }
 
 /**
- * Pin this process (and the threads it starts) to the CPU it runs on. On
+ * Pin this process (and the threads it starts) to @p cpu, or to the CPU
+ * it runs on if @p cpu is negative. On
  * a shared virtual machine a wakeup handed to another vCPU can wait for
  * the host to schedule it: paper_repro's sweep and transfer-handler
  * threads hand off work thousands of times per sample, and their wall
@@ -576,9 +591,10 @@ sampleJson(const Sample &s)
  * moved a few percent. On one CPU the hand-offs stay local.
  */
 void
-pinToCurrentCpu()
+pinToCpu(int cpu)
 {
-    const int cpu = sched_getcpu();
+    if (cpu < 0)
+        cpu = sched_getcpu();
     if (cpu < 0)
         return;
     cpu_set_t set;
@@ -591,7 +607,7 @@ int
 usage()
 {
     std::cerr << "usage: perfbench_driver --workload NAME --seed N "
-                 "--trace 0|1 [--setup-only]\n";
+                 "--trace 0|1 [--setup-only] [--cpu K]\n";
     return 2;
 }
 
@@ -604,6 +620,7 @@ main(int argc, char **argv)
     std::uint64_t seed = 0;
     int trace = 0;
     bool setup_only = false;
+    int cpu = -1;
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -620,6 +637,8 @@ main(int argc, char **argv)
                 seed = std::stoull(value);
             else if (arg == "--trace")
                 trace = std::stoi(value);
+            else if (arg == "--cpu")
+                cpu = std::stoi(value);
             else
                 return usage();
         }
@@ -635,7 +654,7 @@ main(int argc, char **argv)
             std::cerr << "unknown workload: " << workload << "\n";
             return usage();
         }
-        pinToCurrentCpu();
+        pinToCpu(cpu);
         std::vector<double> setups;
         timeSetups(*w, kSetupReps, setups);
         // obs::Profiler is single-threaded by design; the sweep runs on

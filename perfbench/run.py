@@ -8,10 +8,12 @@
 Run from the root of a checkout. Every run configures and builds
 perfbench/CMakeLists.txt (the library from src/ plus perfbench/driver.cc)
 under $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench),
-incrementally after the first time. Each driver process measures one sample; this
-script runs it repeatedly for --seconds, checks every sample's simulated
-outputs, computes the medians and prints human-readable lines, then as its
-last stdout line one JSON object:
+incrementally after the first time. Each driver process measures one
+sample; this script runs rounds of them, one per CPU, for --seconds, each
+round between two rounds of host-speed probes, checks every sample's
+simulated outputs, rescales host times by the probe, computes the medians
+and prints human-readable lines, then as its last stdout line one JSON
+object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -23,6 +25,7 @@ perfbench/NOTES.md explains the workloads, metrics and checks.
 """
 
 import argparse
+import concurrent.futures
 import json
 import os
 import platform
@@ -45,6 +48,13 @@ DEFAULT_SEED = 0
 # setup + run + collect must tile each sample's measured total.
 SPAN_TOLERANCE = 1e-3
 SETUP_PROCESSES = 4
+# Samples run side by side, one per CPU (see sample_cpus()).
+MAX_CPUS = 4
+# Host times are reported in reference seconds: seconds on a host where one
+# repetition of the host-speed probe (probe.cc) takes PROBE_REF_S. The probe
+# does fixed work that nothing in src/ touches, so its checksum never moves.
+PROBE_REF_S = 0.125
+PROBE_CHECKSUM = 46351898558
 # Seconds every driver process must end within, counted after the build.
 BUDGET_S = 170
 
@@ -167,11 +177,11 @@ def check(workload, seed, samples):
     return failed
 
 
-def run_driver(driver, deadline, workload, seed, trace, setup_only=False):
-    """One driver process: set-up repetitions, then one sample unless
-    `setup_only`. It is killed if still running at `deadline`."""
-    cmd = [driver, "--workload", workload, "--seed", str(seed),
-           "--trace", str(trace)] + (["--setup-only"] if setup_only else [])
+def run_driver(driver, deadline, cpu, *args):
+    """One process of `driver` (the driver or the probe) pinned to CPU
+    `cpu`, with `args` after it. It is killed if still running at
+    `deadline`."""
+    cmd = [driver, "--cpu", str(cpu), *map(str, args)]
     run = subprocess.run(cmd, stdout=subprocess.PIPE, cwd=ROOT, text=True,
                          timeout=max(1.0, deadline - time.monotonic()))
     if run.returncode:
@@ -179,45 +189,108 @@ def run_driver(driver, deadline, workload, seed, trace, setup_only=False):
     return json.loads(run.stdout)
 
 
-def run_phase(driver, deadline, workload, seed, trace, seconds,
-              min_samples):
-    """Samples until `seconds` have passed, starting another only while the
-    median sample so far still fits, and at least `min_samples`.
+def run_probe(driver, deadline, cpu):
+    """Median seconds of one perfbench_probe process's repetitions on CPU
+    `cpu`. The probe is built beside the driver."""
+    probe = os.path.join(os.path.dirname(driver), "perfbench_probe")
+    doc = run_driver(probe, deadline, cpu)
+    if doc["checksum"] != PROBE_CHECKSUM:
+        raise RuntimeError(f"probe checksum {doc['checksum']}, expected "
+                           f"{PROBE_CHECKSUM}")
+    return median(doc["probe_s"])
 
-    Returns (sample docs, set-up-only docs). An untraced phase follows each
-    sample with SETUP_PROCESSES set-up-only processes: a sub-microsecond
+
+def sample_cpus():
+    """The CPUs samples run on: every CPU this process may use, up to
+    MAX_CPUS. On a shared virtual machine each vCPU's speed drifts by
+    itself over seconds (whatever shares its physical core), so a median
+    pooled over several CPUs drifts less than one CPU's."""
+    return sorted(os.sched_getaffinity(0))[:MAX_CPUS]
+
+
+def run_phase(driver, deadline, workload, seed, trace, seconds):
+    """Rounds of samples until `seconds` have passed, starting another round
+    only while the median round so far still fits; at least one.
+
+    A round runs one sample on every CPU of sample_cpus() side by side,
+    then one probe process on every CPU side by side; one such probe round
+    also comes before the first round. Probes never run beside a sample:
+    the vCPUs share the host's cores, caches and power, so a probe beside
+    samples could slow with their load and divide a slower program back
+    out. Each
+    sample's doc, and the set-up-only docs after it, carry the mean of the
+    two probes around it on its CPU as "probe_s". An untraced round ends
+    with SETUP_PROCESSES rounds of set-up-only processes: a sub-microsecond
     set-up runs at one of several speeds fixed per process (CPU and memory
     placement), so setup_s pools many processes, not just the samples.
+    Returns (sample docs, set-up-only docs). Each driver process is
+    single-threaded or pinned to its CPU, so no round asks for more CPUs
+    than the run was given.
     """
+    cpus = sample_cpus()
+    args = ["--workload", workload, "--seed", seed, "--trace", trace]
     docs, setup_docs, durations = [], [], []
-    start = time.monotonic()
-    while True:
-        began = time.monotonic()
-        docs.append(run_driver(driver, deadline, workload, seed, trace))
-        durations.append(time.monotonic() - began)
-        if not trace:
-            setup_docs += [run_driver(driver, deadline, workload, seed, 0,
-                                      True)
-                           for _ in range(SETUP_PROCESSES)]
-        elapsed = time.monotonic() - start
-        if (len(docs) >= min_samples and
-                elapsed + median(durations) > seconds):
-            return docs, setup_docs
+    with concurrent.futures.ThreadPoolExecutor(len(cpus)) as pool:
+        def probes():
+            return list(pool.map(
+                lambda cpu: run_probe(driver, deadline, cpu), cpus))
+
+        def on_every_cpu(*extra):
+            return list(pool.map(
+                lambda cpu: run_driver(driver, deadline, cpu, *args, *extra),
+                cpus))
+
+        start = time.monotonic()
+        before = probes()
+        while True:
+            began = time.monotonic()
+            samples = on_every_cpu()
+            after = probes()
+            durations.append(time.monotonic() - began)
+            probe_s = [(b + a) / 2 for b, a in zip(before, after)]
+            docs += [dict(d, probe_s=p) for d, p in zip(samples, probe_s)]
+            if not trace:
+                for _ in range(SETUP_PROCESSES):
+                    setup_docs += [dict(d, probe_s=p) for d, p in
+                                   zip(on_every_cpu("--setup-only"), probe_s)]
+            before = after
+            if time.monotonic() - start + median(durations) > seconds:
+                return docs, setup_docs
+
+
+def host_scale(doc):
+    """Factor that turns the doc's host seconds into reference seconds:
+    PROBE_REF_S over the probe time measured around its sample."""
+    return PROBE_REF_S / doc["probe_s"]
 
 
 def end_to_end(docs, setup_docs):
-    untraced = [d["sample"] for d in docs]
+    """Every host time is rescaled by host_scale(), sample by sample."""
     return {
-        "wall_s": [s["run_s"] for s in untraced],
-        "events_per_s": [s["fingerprint"]["events"] / s["run_s"]
-                         for s in untraced],
-        "cpu_s": [s["cpu_s"] for s in untraced],
+        "wall_s": [d["sample"]["run_s"] * host_scale(d) for d in docs],
+        "events_per_s": [d["sample"]["fingerprint"]["events"] /
+                         (d["sample"]["run_s"] * host_scale(d))
+                         for d in docs],
+        "cpu_s": [d["sample"]["cpu_s"] * host_scale(d) for d in docs],
         "peak_rss_mb": [max(d["peak_rss_kb"] for d in docs) / 1024.0],
-        "setup_s": [t for d in docs + setup_docs for t in d["setup_s"]],
+        "setup_s": [t * host_scale(d)
+                    for d in docs + setup_docs for t in d["setup_s"]],
     }
 
 
-def per_layer(untraced, traced, error_rate):
+def raw_times(docs):
+    """Measured host seconds, before rescaling: the probe and wall time."""
+    return {
+        "probe_s": [d["probe_s"] for d in docs],
+        "wall_s": [d["sample"]["run_s"] for d in docs],
+    }
+
+
+def per_layer(untraced_docs, traced_docs, error_rate):
+    """Per-layer metrics. Profiler sections and bench.* spans are measured
+    host seconds; obs.overhead_frac compares rescaled wall times."""
+    untraced = [d["sample"] for d in untraced_docs]
+    traced = [d["sample"] for d in traced_docs]
     layers = {}
     for name in traced[0]["layers"]:
         values = [s["layers"][name] for s in traced]
@@ -225,6 +298,8 @@ def per_layer(untraced, traced, error_rate):
         layers[name] = median(values) if name.endswith("_s") else values[0]
     wall = [s["run_s"] for s in untraced]
     pct, tail_s = tail(wall)
+    scaled = [d["sample"]["run_s"] * host_scale(d)
+              for d in untraced_docs + traced_docs]
     layers.update({
         "sim.events": traced[0]["fingerprint"]["events"],
         "bench.setup_s": median(s["setup_s"] for s in untraced),
@@ -234,8 +309,10 @@ def per_layer(untraced, traced, error_rate):
         "bench.wall_tail_s": tail_s,
         "bench.wall_tail_pct": pct,
         "error_rate": error_rate,
-        "obs.overhead_frac":
-            median(s["run_s"] for s in traced) / median(wall) - 1.0,
+        "host.probe_s": median(d["probe_s"]
+                               for d in untraced_docs + traced_docs),
+        "obs.overhead_frac": (median(scaled[len(untraced):]) /
+                              median(scaled[:len(untraced)]) - 1.0),
     })
     return layers
 
@@ -286,8 +363,9 @@ def main():
     driver = build()
     deadline = time.monotonic() + BUDGET_S
     if args.pin:
-        fingerprint = run_driver(driver, deadline, args.workload, seed,
-                                 0)["sample"]["fingerprint"]
+        fingerprint = run_driver(
+            driver, deadline, sample_cpus()[0], "--workload", args.workload,
+            "--seed", seed, "--trace", 0)["sample"]["fingerprint"]
         pinned = {"default_seed": DEFAULT_SEED, "workloads": {}}
         if os.path.exists(REFERENCE):
             with open(REFERENCE) as f:
@@ -302,9 +380,9 @@ def main():
     # Untraced samples also give obs.overhead_frac and the bench.* spans.
     phase = args.seconds / 2 if args.trace else args.seconds
     untraced, setup_docs = run_phase(driver, deadline, args.workload, seed,
-                                     0, phase, 3)
-    traced = (run_phase(driver, deadline, args.workload, seed, 1, phase,
-                        1)[0] if args.trace else [])
+                                     0, phase)
+    traced = (run_phase(driver, deadline, args.workload, seed, 1,
+                        phase)[0] if args.trace else [])
     samples = [d["sample"] for d in untraced + traced]
     failed = check(args.workload, seed, samples)
     attempted = len(samples)
@@ -317,7 +395,11 @@ def main():
           f"checked, {failed} failed")
     e2e = end_to_end(untraced, setup_docs)
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    print("end-to-end (profiling off):")
+    print("measured host times (profiling off):")
+    for name, values in raw_times(untraced).items():
+        print(describe(name, "s", values))
+    print(f"end-to-end (profiling off; times in reference seconds, "
+          f"rescaled to a {PROBE_REF_S} s probe):")
     for name, values in e2e.items():
         print(describe(name, units[name], values))
     metrics = {name: (units[name], median(values))
@@ -325,8 +407,7 @@ def main():
 
     if args.trace:
         layer_units = {m["name"]: m["unit"] for m in spec["per_layer"]}
-        layers = per_layer([d["sample"] for d in untraced],
-                           [d["sample"] for d in traced], failed / attempted)
+        layers = per_layer(untraced, traced, failed / attempted)
         print("per-layer (profiled sections are inclusive; never sum "
               "them; bench.* spans are exclusive):")
         metrics = {}
