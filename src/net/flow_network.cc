@@ -254,6 +254,7 @@ FlowNetwork::markComponent(const std::vector<uint32_t> &seeds)
     // so a flow that shares no links costs O(route length), independent of
     // how many other flows are active.
     const uint64_t epoch = ++epoch_;
+    comp_epoch_ = epoch;
     bfs_stack_.clear();
     comp_links_.clear();
     comp_flows_.clear();
@@ -303,30 +304,36 @@ FlowNetwork::recomputeComponent(Seconds now)
             observer_->linkRateChanged(*link_states_[li].link, 0.0, now);
     }
 
-    // Order the component's surviving flows by ascending id (markComponent
-    // collected them in flood-fill order) and settle their progress to now.
-    comp_flows_.erase(std::remove_if(comp_flows_.begin(), comp_flows_.end(),
-                                     [this](uint32_t s) {
-                                         return !slots_[s].active;
-                                     }),
-                      comp_flows_.end());
-    std::sort(comp_flows_.begin(), comp_flows_.end(),
-              [this](uint32_t a, uint32_t b) {
-                  return slots_[a].id < slots_[b].id;
-              });
-    for (uint32_t s : comp_flows_)
-        settleFlow(slots_[s], now);
+    // Order the component's surviving flows by ascending id; markComponent
+    // collected them in flood-fill order. A component spanning most of the
+    // network is read off active_, which is already in id order. A small
+    // one sorts packed (id, slot) pairs, which compare without touching
+    // slots_. Both give the same order.
+    if (comp_flows_.size() * 8 < active_.size()) {
+        by_id_.clear();
+        for (uint32_t s : comp_flows_)
+            if (slots_[s].active)
+                by_id_.emplace_back(slots_[s].id, s);
+        std::sort(by_id_.begin(), by_id_.end());
+        comp_flows_.clear();
+        for (const auto &entry : by_id_)
+            comp_flows_.push_back(entry.second);
+    } else {
+        comp_flows_.clear();
+        for (uint32_t s : active_)
+            if (slots_[s].mark == comp_epoch_)
+                comp_flows_.push_back(s);
+    }
 
-    // Re-key the component's links in first-touch order under the id-ordered
-    // flow scan (the order the full-recompute oracle uses) and initialise
-    // the epoch-stamped water-fill scratch. Multiplicity counts: a route
-    // listing a link twice claims two shares, as the original full
-    // recompute did.
+    // In that order, settle each flow's progress to now and re-key the
+    // component's links in first-touch order (the order the full-recompute
+    // oracle uses), initialising the epoch-stamped water-fill scratch.
+    // Multiplicity counts: a route listing a link twice claims two shares,
+    // as the original full recompute did.
     const uint64_t fill_epoch = ++epoch_;
-    const std::size_t n_links = comp_links_.size();
     comp_links_.clear();
-    comp_links_.reserve(n_links);
     for (uint32_t s : comp_flows_) {
+        settleFlow(slots_[s], now);
         for (uint32_t li : slots_[s].links) {
             LinkState &ls = link_states_[li];
             if (ls.mark != fill_epoch) {
@@ -340,37 +347,41 @@ FlowNetwork::recomputeComponent(Seconds now)
     }
 
     // Progressive water-filling over the component. Repeatedly find the
-    // most-constrained link (smallest residual capacity per unfixed flow),
-    // freeze its flows at that fair share, and release their capacity
-    // claims elsewhere.
-    unfixed_ = comp_flows_;
-    while (!unfixed_.empty()) {
+    // most-constrained link (smallest residual capacity per unfixed flow;
+    // the first in first-touch order wins a tie), freeze its unfixed flows
+    // at that fair share, and release their capacity claims elsewhere.
+    // A link leaves the candidate list, order kept, once all its flows are
+    // frozen. Each round walks only the bottleneck's own flow list: it is
+    // ascending by id, so flows freeze in the order a scan of every unfixed
+    // flow would freeze them. A frozen flow carries fill_epoch in its mark,
+    // so a route crossing the bottleneck twice is frozen once.
+    candidates_ = comp_links_;
+    std::size_t unfixed = comp_flows_.size();
+    while (unfixed > 0) {
         uint32_t bottleneck = kNoSlot;
         double best_share = std::numeric_limits<double>::infinity();
-        for (uint32_t li : comp_links_) {
+        std::size_t kept = 0;
+        for (uint32_t li : candidates_) {
             const LinkState &ls = link_states_[li];
             if (ls.unfixed <= 0)
                 continue;
+            candidates_[kept++] = li;
             const double share = ls.residual / ls.unfixed;
             if (share < best_share) {
                 best_share = share;
                 bottleneck = li;
             }
         }
+        candidates_.resize(kept);
         SI_ASSERT(bottleneck != kNoSlot, "no bottleneck among active flows");
 
-        // Freeze every unfixed flow crossing the bottleneck at best_share.
-        std::size_t kept = 0;
-        for (uint32_t s : unfixed_) {
+        for (uint32_t s : link_states_[bottleneck].flows) {
             FlowSlot &flow = slots_[s];
-            const bool crosses =
-                std::find(flow.links.begin(), flow.links.end(), bottleneck) !=
-                flow.links.end();
-            if (!crosses) {
-                unfixed_[kept++] = s;
+            if (flow.mark == fill_epoch)
                 continue;
-            }
+            flow.mark = fill_epoch;
             flow.rate = best_share;
+            --unfixed;
             for (uint32_t li : flow.links) {
                 LinkState &ls = link_states_[li];
                 ls.residual -= best_share;
@@ -379,9 +390,8 @@ FlowNetwork::recomputeComponent(Seconds now)
                 --ls.unfixed;
             }
         }
-        SI_ASSERT(kept < unfixed_.size(),
-                  "water-filling failed to make progress");
-        unfixed_.resize(kept);
+        SI_ASSERT(link_states_[bottleneck].unfixed == 0,
+                  "water-filling failed to freeze the bottleneck");
     }
 
     // Refresh per-link aggregate rates (summed in id order so the oracle
@@ -392,6 +402,10 @@ FlowNetwork::recomputeComponent(Seconds now)
         for (uint32_t s : ls.flows)
             ls.agg_rate += slots_[s].rate;
     }
+    // A component holding every active flow supersedes every heap entry:
+    // drop them all rather than leave them behind as tombstones.
+    if (comp_flows_.size() == active_.size())
+        completion_heap_.clear();
     for (uint32_t s : comp_flows_) {
         FlowSlot &flow = slots_[s];
         SI_ASSERT(flow.rate > 0.0, "active flow with zero rate");

@@ -188,7 +188,7 @@ class FlowNetwork
         Seconds settled_at = 0.0; ///< time @c remaining refers to
         std::function<void()> done;
         uint32_t stamp = 0;   ///< bumped on rate change/retire; guards heap
-        uint64_t mark = 0;    ///< closure-visit epoch
+        uint64_t mark = 0;    ///< closure-visit / frozen epoch
         bool active = false;  ///< in bulk phase (delayed/free slots: false)
         bool cancelled = false; ///< revoked while in its latency phase
         Bytes pending_bytes = 0.0; ///< bulk size while in latency phase
@@ -252,6 +252,7 @@ class FlowNetwork
     std::unordered_map<const Link *, uint32_t> link_index_;
     std::vector<HeapEntry> completion_heap_; ///< min-heap on (when, id)
     uint64_t epoch_ = 0;
+    uint64_t comp_epoch_ = 0; ///< mark of the last markComponent() flood
     FlowId next_id_ = 0;
     sim::EventId pending_event_ = 0;
     Seconds pending_time_ = 0.0;
@@ -261,7 +262,8 @@ class FlowNetwork
     // nothing).
     std::vector<uint32_t> comp_links_;
     std::vector<uint32_t> comp_flows_;
-    std::vector<uint32_t> unfixed_;
+    std::vector<std::pair<FlowId, uint32_t>> by_id_;
+    std::vector<uint32_t> candidates_;
     std::vector<uint32_t> bfs_stack_;
     std::vector<uint32_t> retiring_;
     std::vector<std::function<void()>> callbacks_;

@@ -139,6 +139,130 @@ TEST(FlowNetworkStress, IncrementalMatchesOracleAfterEveryEvent)
     EXPECT_NEAR(net.totalBytesDelivered(), requested, completed * 2.0);
 }
 
+/**
+ * Longest run of flowRateChanged reports with no link report between them.
+ * Every recompute reports its links before its flows, so this is the flow
+ * count of the largest recomputed contention component.
+ */
+class ComponentSizeObserver : public FlowObserver
+{
+  public:
+    void flowRateChanged(FlowId, BytesPerSec, Seconds) override
+    {
+        largest = std::max(largest, ++run);
+    }
+    void linkRateChanged(const Link &, BytesPerSec, Seconds) override
+    {
+        run = 0;
+    }
+
+    std::size_t run = 0;
+    std::size_t largest = 0;
+};
+
+TEST(FlowNetworkStress, TieHeavyScaleoutMatchesOracleAfterEveryEvent)
+{
+    // Shaped like the scale-out training runs: identical node groups of
+    // identical device links behind a shared uplink, ring steps coupling
+    // neighbouring groups, and bursts of equal flows released in one
+    // instant. Equal fair shares, so exact ties between candidate
+    // bottlenecks, are the norm here rather than the exception; the
+    // first-touch tie-break must still match the oracle bit for bit
+    // through cancellations and capacity changes.
+    constexpr int kGroups = 8;
+    constexpr int kDevices = 4;
+    sim::Simulator sim;
+    FlowNetwork net(sim);
+    ComponentSizeObserver sizes;
+    net.setObserver(&sizes);
+    Topology topo;
+    std::vector<Link *> all;
+    std::vector<std::vector<Link *>> dev(kGroups);
+    std::vector<Link *> uplink(kGroups);
+    for (int g = 0; g < kGroups; ++g) {
+        const std::string group = "g" + std::to_string(g);
+        for (int d = 0; d < kDevices; ++d) {
+            dev[g].push_back(
+                &topo.addLink(group + ".dev" + std::to_string(d), 100.0));
+            all.push_back(dev[g].back());
+        }
+        uplink[g] = &topo.addLink(group + ".up", 250.0);
+        all.push_back(uplink[g]);
+    }
+
+    Rng rng(20261017);
+    std::vector<FlowId> ids;
+    int completed = 0;
+    auto route_for = [&](int g, int d) -> Route {
+        const int h = (g + 1) % kGroups;
+        const double pick = rng.uniform();
+        if (pick < 0.05) // Duplicate link: two shares on the device.
+            return {dev[g][d], uplink[g], dev[g][d]};
+        if (pick < 0.5) // Ring step into the next group.
+            return {dev[g][d], uplink[g], uplink[h], dev[h][d]};
+        return {dev[g][d], uplink[g]};
+    };
+    // One burst: a flow per device, all starting in the same instant with
+    // the same latency; ring steps and local flows each share one size, so
+    // completions coincide too.
+    auto burst = [&](double latency) {
+        for (int g = 0; g < kGroups; ++g) {
+            for (int d = 0; d < kDevices; ++d) {
+                Route route = route_for(g, d);
+                const double bytes = route.size() == 4 ? 800.0 : 400.0;
+                ids.push_back(net.startFlow(
+                    std::move(route), bytes, [&]() { ++completed; },
+                    latency));
+            }
+        }
+    };
+    constexpr int kBursts = 12;
+    for (int b = 0; b < kBursts; ++b)
+        sim.at(1.5 * b, [&burst, b]() { burst(b % 3 == 0 ? 0.0 : 0.25); });
+
+    // Faults mid-run: revoke random flows (latency-phase, bulk or already
+    // finished), and degrade then restore a whole group's identical device
+    // links together so their shares stay tied.
+    int cancelled = 0;
+    for (int c = 0; c < 16; ++c) {
+        sim.at(0.7 + 1.9 * c, [&]() {
+            if (net.cancelFlow(ids[rng.uniformInt(ids.size())]))
+                ++cancelled;
+        });
+    }
+    auto degrade = [&](int g, double factor, double at) {
+        sim.at(at, [&net, &dev, g, factor]() {
+            for (Link *link : dev[g]) {
+                link->setCapacityFactor(factor);
+                net.linkCapacityChanged(link);
+            }
+        });
+    };
+    for (int e = 0; e < 4; ++e) {
+        degrade(e * 2, 0.5, 3.0 + 5.0 * e);
+        degrade(e * 2, 1.0, 6.0 + 5.0 * e);
+    }
+    sim.at(9.0, [&]() {
+        uplink[5]->setCapacityFactor(0.4);
+        net.linkCapacityChanged(uplink[5]);
+    });
+
+    std::size_t peak_active = 0;
+    int events = 0;
+    while (stepOne(sim)) {
+        ++events;
+        peak_active = std::max(peak_active, net.activeFlows());
+        expectMatchesOracle(net, all);
+        ASSERT_LT(events, 100000) << "simulation failed to drain";
+    }
+
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_GT(cancelled, 0);
+    EXPECT_EQ(completed + cancelled, kBursts * kGroups * kDevices);
+    EXPECT_GT(peak_active, 100u);
+    EXPECT_GT(sizes.largest, 100u) << "no component of more than 100 flows";
+}
+
 TEST(FlowNetworkStress, DuplicateLinkRouteMatchesOracle)
 {
     // A route listing the same link twice claims two shares on it; the
