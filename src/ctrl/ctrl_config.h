@@ -152,7 +152,8 @@ struct PriorityConfig {
 /**
  * The control-plane configuration carried by serve::ServeConfig. Every
  * field affects simulated results when the master switch is on and
- * therefore joins the RunSpec hash (src/exp/run_spec.cc) with semantic
+ * therefore joins the RunSpec hash through the canonical spec echo
+ * (canonicalSpecJson() in src/exp/result_io.cc) with semantic
  * normalization: nothing is hashed while disabled, SLO knobs only while
  * admission is armed (defer knobs only under Defer), autoscale knobs only
  * while autoscaling is on, and the preempt flag only while the priority

@@ -51,132 +51,287 @@ jsonNumber(double v)
 
 namespace {
 
-void
-writeCalibrationJson(std::ostream &os, const train::Calibration &c)
+/**
+ * A number in the spec echo. Finite values print as jsonNumber() prints
+ * them; the non-finite ones, which JSON cannot spell, become the strings
+ * "inf", "-inf" and "nan" rather than a shared null, so the canonical echo
+ * (and the hash over it) keeps them apart.
+ */
+std::string
+specNumber(double v)
 {
-    os << "{\"ssd_read\":" << jsonNumber(c.ssd_read) << ",\"ssd_write\":"
-       << jsonNumber(c.ssd_write) << ",\"raid_efficiency\":"
-       << jsonNumber(c.raid_efficiency) << ",\"device_link\":"
-       << jsonNumber(c.device_link) << ",\"host_shared\":"
-       << jsonNumber(c.host_shared) << ",\"host_memory\":"
-       << jsonNumber(c.host_memory) << ",\"gpu_link\":"
-       << jsonNumber(c.gpu_link) << ",\"p2p_read\":"
-       << jsonNumber(c.p2p_read) << ",\"p2p_write\":"
-       << jsonNumber(c.p2p_write) << ",\"cpu_update\":"
-       << jsonNumber(c.cpu_update) << ",\"gpu_compress\":"
-       << jsonNumber(c.gpu_compress) << ",\"fpga_updater\":"
-       << jsonNumber(c.fpga_updater) << ",\"fpga_decomp\":"
-       << jsonNumber(c.fpga_decomp) << ",\"transfer_latency\":"
-       << jsonNumber(c.transfer_latency) << ",\"kernel_launch\":"
-       << jsonNumber(c.kernel_launch) << ",\"fpga_dram_usable\":"
-       << jsonNumber(c.fpga_dram_usable) << "}";
+    if (std::isnan(v))
+        return "\"nan\"";
+    if (std::isinf(v))
+        return v > 0.0 ? "\"inf\"" : "\"-inf\"";
+    return jsonNumber(v);
+}
+
+const char *
+jsonBool(bool v)
+{
+    return v ? "true" : "false";
 }
 
 void
+writeCalibrationJson(std::ostream &os, const train::Calibration &c)
+{
+    os << "{\"ssd_read\":" << specNumber(c.ssd_read) << ",\"ssd_write\":"
+       << specNumber(c.ssd_write) << ",\"raid_efficiency\":"
+       << specNumber(c.raid_efficiency) << ",\"device_link\":"
+       << specNumber(c.device_link) << ",\"host_shared\":"
+       << specNumber(c.host_shared) << ",\"host_memory\":"
+       << specNumber(c.host_memory) << ",\"gpu_link\":"
+       << specNumber(c.gpu_link) << ",\"p2p_read\":"
+       << specNumber(c.p2p_read) << ",\"p2p_write\":"
+       << specNumber(c.p2p_write) << ",\"cpu_update\":"
+       << specNumber(c.cpu_update) << ",\"gpu_compress\":"
+       << specNumber(c.gpu_compress) << ",\"fpga_updater\":"
+       << specNumber(c.fpga_updater) << ",\"fpga_decomp\":"
+       << specNumber(c.fpga_decomp) << ",\"transfer_latency\":"
+       << specNumber(c.transfer_latency) << ",\"kernel_launch\":"
+       << specNumber(c.kernel_launch) << ",\"fpga_dram_usable\":"
+       << specNumber(c.fpga_dram_usable) << "}";
+}
+
+/** Only the parameters the kind consumes: a Fixed distribution is its
+ *  scalar token count, and Uniform ignores the lognormal shape. */
+void
 writeLengthDistributionJson(std::ostream &os,
-                            const serve::LengthDistribution &d)
+                            const serve::LengthDistribution &d,
+                            int fixed_tokens)
 {
     os << "{\"kind\":\"" << serve::lengthDistKindName(d.kind) << "\"";
-    if (d.kind != serve::LengthDistKind::Fixed)
+    if (d.kind == serve::LengthDistKind::Fixed)
+        os << ",\"tokens\":" << fixed_tokens;
+    else
         os << ",\"min_tokens\":" << d.min_tokens
            << ",\"max_tokens\":" << d.max_tokens;
     if (d.kind == serve::LengthDistKind::Lognormal)
-        os << ",\"log_mean\":" << jsonNumber(d.log_mean)
-           << ",\"log_sigma\":" << jsonNumber(d.log_sigma);
+        os << ",\"log_mean\":" << specNumber(d.log_mean)
+           << ",\"log_sigma\":" << specNumber(d.log_sigma);
     os << "}";
 }
 
 void
-writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c)
+writeServeConfigJson(std::ostream &os, const serve::ServeConfig &c,
+                     train::Strategy strategy)
 {
     os << "{\"scheduler\":\"" << serve::schedulerPolicyName(c.scheduler)
-       << "\",\"client_mode\":\"" << serve::clientModeName(c.client_mode)
-       << "\",\"num_requests\":" << c.streamSize()
-       << ",\"arrival_rate\":" << jsonNumber(c.arrival_rate)
-       << ",\"seed\":" << c.seed
-       << ",\"prompt_tokens\":" << c.prompt_tokens
-       << ",\"output_tokens\":" << c.output_tokens
-       << ",\"prompt_lengths\":";
-    writeLengthDistributionJson(os, c.prompt_lengths);
+       << "\",\"max_batch\":" << c.max_batch << ",\"prompt_lengths\":";
+    writeLengthDistributionJson(os, c.prompt_lengths, c.prompt_tokens);
     os << ",\"output_lengths\":";
-    writeLengthDistributionJson(os, c.output_lengths);
-    os << ",\"max_batch\":" << c.max_batch
-       << ",\"weight_wire_fraction\":" << jsonNumber(c.weight_wire_fraction)
-       << ",\"concurrency\":" << c.concurrency
-       << ",\"think_time_s\":" << jsonNumber(c.think_time)
-       << ",\"kv\":{\"enabled\":" << (c.kv.enabled ? "true" : "false");
+    writeLengthDistributionJson(os, c.output_lengths, c.output_tokens);
+    // The stored-weight quantization ratio only shapes SU+O+C runs,
+    // mirroring compression_wire_fraction on the training side.
+    if (strategy == train::Strategy::SmartUpdateOptComp)
+        os << ",\"weight_wire_fraction\":"
+           << specNumber(c.weight_wire_fraction);
+    // KV model: every knob is inert while disabled. Within it the
+    // contiguous layout ignores the paged allocator's shape, and a paged
+    // run without prefix sharing ignores the prefix pool's.
+    os << ",\"kv\":{\"enabled\":" << jsonBool(c.kv.enabled);
     if (c.kv.enabled) {
-        os << ",\"bytes_per_token\":" << jsonNumber(c.kv.bytes_per_token)
-           << ",\"hbm_budget\":" << jsonNumber(c.kv.hbm_budget)
-           << ",\"host_budget\":" << jsonNumber(c.kv.host_budget)
+        os << ",\"bytes_per_token\":" << specNumber(c.kv.bytes_per_token)
+           << ",\"hbm_budget\":" << specNumber(c.kv.hbm_budget)
+           << ",\"host_budget\":" << specNumber(c.kv.host_budget)
            << ",\"layout\":\"" << serve::kvLayoutName(c.kv.layout) << "\"";
         if (c.kv.paged()) {
             os << ",\"block_tokens\":" << c.kv.block_tokens
                << ",\"prefix\":{\"share_fraction\":"
-               << jsonNumber(c.kv.prefix.share_fraction);
+               << specNumber(c.kv.prefix.share_fraction);
             if (c.kv.prefix.enabled())
                 os << ",\"num_prefixes\":" << c.kv.prefix.num_prefixes
                    << ",\"prefix_tokens\":" << c.kv.prefix.prefix_tokens;
             os << "}";
         }
     }
-    os << "},\"ctrl\":{\"enabled\":" << (c.ctrl.enabled ? "true" : "false");
+    // Control plane: every knob is inert while disabled. Within it the
+    // SLO target appears under an armed admission mode and also when
+    // autoscaling keys on attainment, the defer shape only under Defer,
+    // autoscale knobs only when autoscaling, and the preempt flag only
+    // while the priority mix draws.
+    os << "},\"ctrl\":{\"enabled\":" << jsonBool(c.ctrl.enabled);
     if (c.ctrl.enabled) {
         os << ",\"policy\":\"" << ctrl::dispatchPolicyName(c.ctrl.policy)
            << "\",\"slo\":{\"admission\":\""
            << ctrl::admissionModeName(c.ctrl.slo.admission) << "\"";
-        if (c.ctrl.slo.enabled()) {
-            os << ",\"target_p99_s\":" << jsonNumber(c.ctrl.slo.target_p99_s);
-            if (c.ctrl.slo.admission == ctrl::AdmissionMode::Defer)
-                os << ",\"defer_delay_s\":"
-                   << jsonNumber(c.ctrl.slo.defer_delay_s)
-                   << ",\"max_defers\":" << c.ctrl.slo.max_defers;
-        }
+        if (c.ctrl.slo.enabled() ||
+            (c.ctrl.autoscale.enabled &&
+             c.ctrl.autoscale.min_attainment > 0.0))
+            os << ",\"target_p99_s\":" << specNumber(c.ctrl.slo.target_p99_s);
+        if (c.ctrl.slo.admission == ctrl::AdmissionMode::Defer)
+            os << ",\"defer_delay_s\":"
+               << specNumber(c.ctrl.slo.defer_delay_s)
+               << ",\"max_defers\":" << c.ctrl.slo.max_defers;
         os << "},\"autoscale\":{\"enabled\":"
-           << (c.ctrl.autoscale.enabled ? "true" : "false");
+           << jsonBool(c.ctrl.autoscale.enabled);
         if (c.ctrl.autoscale.enabled)
             os << ",\"min_replicas\":" << c.ctrl.autoscale.min_replicas
                << ",\"max_replicas\":" << c.ctrl.autoscale.max_replicas
-               << ",\"window_s\":" << jsonNumber(c.ctrl.autoscale.window_s)
+               << ",\"window_s\":" << specNumber(c.ctrl.autoscale.window_s)
                << ",\"cooldown_s\":"
-               << jsonNumber(c.ctrl.autoscale.cooldown_s)
+               << specNumber(c.ctrl.autoscale.cooldown_s)
                << ",\"scale_up_depth\":"
-               << jsonNumber(c.ctrl.autoscale.scale_up_depth)
+               << specNumber(c.ctrl.autoscale.scale_up_depth)
                << ",\"scale_down_depth\":"
-               << jsonNumber(c.ctrl.autoscale.scale_down_depth)
+               << specNumber(c.ctrl.autoscale.scale_down_depth)
                << ",\"min_attainment\":"
-               << jsonNumber(c.ctrl.autoscale.min_attainment);
+               << specNumber(c.ctrl.autoscale.min_attainment);
         os << "},\"priority\":{\"high_fraction\":"
-           << jsonNumber(c.ctrl.priority.high_fraction)
-           << ",\"preempt\":" << (c.ctrl.priority.preempt ? "true" : "false")
-           << "}";
+           << specNumber(c.ctrl.priority.high_fraction);
+        if (c.ctrl.priority.enabled())
+            os << ",\"preempt\":" << jsonBool(c.ctrl.priority.preempt);
+        os << "}";
     }
-    os << "},\"modulation\":{\"enabled\":"
-       << (c.modulation.enabled ? "true" : "false");
-    if (c.modulation.enabled) {
-        os << ",\"diurnal_amplitude\":"
-           << jsonNumber(c.modulation.diurnal_amplitude);
-        if (c.modulation.diurnal())
-            os << ",\"diurnal_period_s\":"
-               << jsonNumber(c.modulation.diurnal_period_s)
-               << ",\"diurnal_phase\":"
-               << jsonNumber(c.modulation.diurnal_phase);
-        os << ",\"burst_rate_multiplier\":"
-           << jsonNumber(c.modulation.burst_rate_multiplier);
-        if (c.modulation.bursts())
-            os << ",\"burst_mean_gap_s\":"
-               << jsonNumber(c.modulation.burst_mean_gap_s)
-               << ",\"burst_mean_duration_s\":"
-               << jsonNumber(c.modulation.burst_mean_duration_s)
-               << ",\"burst_first_gap_s\":"
-               << jsonNumber(c.modulation.burst_first_gap_s);
+    // Client model. Closed-loop arrivals are reactive and a trace fixes
+    // them outright, so the arrival rate and its modulation belong to
+    // generated open-loop streams alone. The seed feeds four independent
+    // streams — generated arrivals, sampled lengths, prefix assignment and
+    // the control plane's draws — and appears iff one of them consumes it.
+    const bool generated =
+        c.client_mode == serve::ClientMode::OpenLoop && c.trace.empty();
+    os << "},\"client_mode\":\"" << serve::clientModeName(c.client_mode)
+       << "\",\"num_requests\":" << c.streamSize();
+    if (generated || c.samplesLengths() || c.sharesPrefixes() ||
+        c.ctrl.drawsRandomness())
+        os << ",\"seed\":" << c.seed;
+    if (c.client_mode == serve::ClientMode::ClosedLoop) {
+        os << ",\"concurrency\":" << c.concurrency
+           << ",\"think_time_s\":" << specNumber(c.think_time);
+    } else if (generated) {
+        // Modulation: the diurnal shape only while the sinusoid is armed,
+        // the burst shape only while the multiplier exceeds 1, and every
+        // negative first gap (draw it) written as -1.
+        const serve::ArrivalModulationConfig &m = c.modulation;
+        os << ",\"arrival_rate\":" << specNumber(c.arrival_rate)
+           << ",\"modulation\":{\"enabled\":" << jsonBool(m.enabled);
+        if (m.enabled) {
+            os << ",\"diurnal_amplitude\":"
+               << specNumber(m.diurnal_amplitude);
+            if (m.diurnal())
+                os << ",\"diurnal_period_s\":"
+                   << specNumber(m.diurnal_period_s)
+                   << ",\"diurnal_phase\":" << specNumber(m.diurnal_phase);
+            os << ",\"burst_rate_multiplier\":"
+               << specNumber(m.burst_rate_multiplier);
+            if (m.bursts())
+                os << ",\"burst_mean_gap_s\":"
+                   << specNumber(m.burst_mean_gap_s)
+                   << ",\"burst_mean_duration_s\":"
+                   << specNumber(m.burst_mean_duration_s)
+                   << ",\"burst_first_gap_s\":"
+                   << specNumber(m.burst_first_gap_s < 0.0
+                                     ? -1.0
+                                     : m.burst_first_gap_s);
+        }
+        os << "}";
+    } else {
+        os << ",\"trace\":[";
+        for (std::size_t i = 0; i < c.trace.size(); ++i)
+            os << (i ? "," : "") << specNumber(c.trace[i]);
+        os << "]";
     }
-    os << "}";
+    // A record cap of 0 keeps every record, whatever the window width.
     if (c.record_cap > 0)
         os << ",\"record_cap\":" << c.record_cap
-           << ",\"stream_window_s\":" << jsonNumber(c.stream_window_s);
-    os << ",\"trace_driven\":" << (c.trace.empty() ? "false" : "true")
-       << "}";
+           << ",\"stream_window_s\":" << specNumber(c.stream_window_s);
+    os << "}";
+}
+
+/**
+ * The fault model: only the switch while disabled. Each category's
+ * episode shape appears only while its MTBF is finite (an unarmed
+ * category draws no events). Training runs draw the fault stream from
+ * FaultConfig::seed; serving runs derive it from the serve seed, and with
+ * no category armed nothing is drawn. Checkpoint knobs and the job length
+ * shape only training; retry and shed knobs shape only serving, and only
+ * under node crashes, the one category that displaces requests.
+ */
+void
+writeFaultConfigJson(std::ostream &os, const fault::FaultConfig &f,
+                     bool training)
+{
+    os << "{\"enabled\":" << jsonBool(f.enabled);
+    if (f.enabled) {
+        os << ",\"horizon\":" << specNumber(f.horizon);
+        if (training && f.anyFaults())
+            os << ",\"seed\":" << f.seed;
+        if (f.nodeFaults())
+            os << ",\"node_mtbf\":" << specNumber(f.node_mtbf);
+        if (f.csdFaults())
+            os << ",\"csd_mtbf\":" << specNumber(f.csd_mtbf)
+               << ",\"csd_fail_factor\":" << specNumber(f.csd_fail_factor);
+        if (f.nodeFaults() || f.csdFaults())
+            os << ",\"repair_time\":" << specNumber(f.repair_time);
+        if (f.degradeFaults())
+            os << ",\"degrade_mtbf\":" << specNumber(f.degrade_mtbf)
+               << ",\"degrade_factor\":" << specNumber(f.degrade_factor)
+               << ",\"degrade_duration\":"
+               << specNumber(f.degrade_duration);
+        if (f.stallFaults())
+            os << ",\"stall_mtbf\":" << specNumber(f.stall_mtbf)
+               << ",\"stall_duration\":" << specNumber(f.stall_duration);
+        if (training)
+            os << ",\"num_iterations\":" << f.num_iterations
+               << ",\"checkpoint_interval\":" << f.checkpoint_interval;
+        else if (f.nodeFaults())
+            os << ",\"retry_limit\":" << f.retry_limit
+               << ",\"retry_backoff\":" << specNumber(f.retry_backoff)
+               << ",\"retry_timeout\":" << specNumber(f.retry_timeout)
+               << ",\"shed_queue_depth\":" << f.shed_queue_depth;
+    }
+    os << "}";
+}
+
+/**
+ * Every spec field but the label, without the enclosing braces. The one
+ * place that decides which knobs can shape a result: a field appears iff
+ * it can, so two specs share a hash exactly when these bytes match.
+ */
+void
+writeSpecFields(std::ostream &os, const RunSpec &spec)
+{
+    const bool training = spec.workload == train::WorkloadKind::Training;
+    const auto &sys = spec.system;
+    os << "\"workload\":\"" << train::workloadKindName(spec.workload)
+       << "\",\"model\":{\"name\":\"" << jsonEscape(spec.model.name)
+       << "\",\"family\":\"" << train::familyName(spec.model.family)
+       << "\",\"num_params\":" << specNumber(spec.model.num_params)
+       << ",\"num_layers\":" << spec.model.num_layers
+       << ",\"hidden_dim\":" << spec.model.hidden_dim << "}";
+    // Only the config the workload consumes: a serving spec at two
+    // training batch sizes is one cache entry.
+    if (training) {
+        os << ",\"train\":{\"batch_size\":" << spec.train.batch_size
+           << ",\"seq_len\":" << spec.train.seq_len << "}";
+    } else {
+        os << ",\"serve\":";
+        writeServeConfigJson(os, spec.serve, sys.strategy);
+    }
+    os << ",\"system\":{\"strategy\":\"" << train::strategyName(sys.strategy)
+       << "\",\"num_devices\":" << sys.num_devices << ",\"gpu\":\""
+       << train::gpuName(sys.gpu) << "\",\"num_gpus\":" << sys.num_gpus
+       << ",\"congested_topology\":" << jsonBool(sys.congested_topology);
+    // Serving skips the training-only knobs: the optimizer, the gradient
+    // compression ratio (serving keys on serve.weight_wire_fraction), and
+    // the gradient-sync NIC/overlap shape (replicas exchange no traffic).
+    if (training) {
+        os << ",\"optimizer\":\"" << optim::optimizerName(sys.optimizer)
+           << "\"";
+        if (sys.strategy == train::Strategy::SmartUpdateOptComp)
+            os << ",\"compression_wire_fraction\":"
+               << specNumber(sys.compression_wire_fraction);
+    }
+    os << ",\"num_nodes\":" << sys.num_nodes;
+    if (training && sys.num_nodes > 1)
+        os << ",\"nic_bandwidth\":" << specNumber(sys.nic_bandwidth)
+           << ",\"nic_latency\":" << specNumber(sys.nic_latency)
+           << ",\"overlap_grad_sync\":" << jsonBool(sys.overlap_grad_sync);
+    os << ",\"calibration\":";
+    writeCalibrationJson(os, sys.calib);
+    os << "},\"fault\":";
+    writeFaultConfigJson(os, spec.fault, training);
 }
 
 /** Peak per-second rate over one windowed counter series (0 when the
@@ -195,41 +350,6 @@ peakWindowRate(const obs::CounterSampler &windows, const char *name)
 }
 
 void
-writeSpecJson(std::ostream &os, const RunSpec &spec)
-{
-    const auto &sys = spec.system;
-    os << "{\"label\":\"" << jsonEscape(spec.label) << "\""
-       << ",\"workload\":\"" << train::workloadKindName(spec.workload)
-       << "\"";
-    if (spec.workload == train::WorkloadKind::Serving) {
-        os << ",\"serve\":";
-        writeServeConfigJson(os, spec.serve);
-    }
-    os << ",\"model\":{\"name\":\"" << jsonEscape(spec.model.name) << "\""
-       << ",\"family\":\"" << train::familyName(spec.model.family) << "\""
-       << ",\"num_params\":" << jsonNumber(spec.model.num_params)
-       << ",\"num_layers\":" << spec.model.num_layers
-       << ",\"hidden_dim\":" << spec.model.hidden_dim << "}"
-       << ",\"train\":{\"batch_size\":" << spec.train.batch_size
-       << ",\"seq_len\":" << spec.train.seq_len << "}"
-       << ",\"system\":{\"strategy\":\"" << train::strategyName(sys.strategy)
-       << "\",\"num_devices\":" << sys.num_devices << ",\"gpu\":\""
-       << train::gpuName(sys.gpu) << "\",\"num_gpus\":" << sys.num_gpus
-       << ",\"congested_topology\":"
-       << (sys.congested_topology ? "true" : "false") << ",\"optimizer\":\""
-       << optim::optimizerName(sys.optimizer)
-       << "\",\"compression_wire_fraction\":"
-       << jsonNumber(sys.compression_wire_fraction)
-       << ",\"num_nodes\":" << sys.num_nodes << ",\"nic_bandwidth\":"
-       << jsonNumber(sys.nic_bandwidth) << ",\"nic_latency\":"
-       << jsonNumber(sys.nic_latency) << ",\"overlap_grad_sync\":"
-       << (sys.overlap_grad_sync ? "true" : "false")
-       << ",\"calibration\":";
-    writeCalibrationJson(os, sys.calib);
-    os << "}}";
-}
-
-void
 writeTrafficJson(std::ostream &os, const train::TrafficLedger &t)
 {
     os << "{\"shared_opt_read\":" << jsonNumber(t.shared_opt_read)
@@ -245,12 +365,23 @@ writeTrafficJson(std::ostream &os, const train::TrafficLedger &t)
 
 } // namespace
 
+std::string
+canonicalSpecJson(const RunSpec &spec)
+{
+    std::ostringstream oss;
+    oss << "{";
+    writeSpecFields(oss, spec);
+    oss << "}";
+    return oss.str();
+}
+
 void
 writeRecordJson(std::ostream &os, const RunRecord &record)
 {
-    os << "{\"spec\":";
-    writeSpecJson(os, record.spec);
-    os << ",\"spec_hash\":\"" << hashHex(record.spec_hash) << "\""
+    os << "{\"spec\":{\"label\":\"" << jsonEscape(record.spec.label)
+       << "\",";
+    writeSpecFields(os, record.spec);
+    os << "},\"spec_hash\":\"" << hashHex(record.spec_hash) << "\""
        << ",\"engine\":\"" << jsonEscape(record.engine_name) << "\""
        << ",\"result\":{\"forward_s\":"
        << jsonNumber(record.result.phases.forward) << ",\"backward_s\":"

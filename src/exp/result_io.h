@@ -24,7 +24,18 @@ std::string jsonEscape(const std::string &s);
 /** Format a double round-trippably ("1e99"-safe, max_digits10). */
 std::string jsonNumber(double v);
 
-/** One record as a JSON object: spec, hash, engine, phases, traffic. */
+/**
+ * The spec echo without its label: exactly the fields that can shape the
+ * spec's simulated result, each written only while it is active (e.g. no
+ * training block on a serving spec, no fault knobs while faults are off).
+ * RunSpec::hash() is FNV-1a over these bytes, so two specs share a hash
+ * (and a cached result) exactly when their canonical echoes match.
+ * Non-finite numbers are written as the strings "inf", "-inf" and "nan".
+ */
+std::string canonicalSpecJson(const RunSpec &spec);
+
+/** One record as a JSON object: spec (label + canonicalSpecJson()), hash,
+ *  engine, phases, traffic. */
 void writeRecordJson(std::ostream &os, const RunRecord &record);
 
 /** A record array: [{...}, ...]. */

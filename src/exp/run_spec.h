@@ -4,7 +4,9 @@
  * RunSpec bundles everything train::makeEngine consumes (model, training
  * workload, system configuration) plus a display label, and hashes
  * deterministically over every field that can affect the simulated result —
- * the key the SweepRunner's result cache and the record emitters use.
+ * the key the SweepRunner's result cache and the record emitters use. Which
+ * fields those are is decided in one place: the canonical spec echo,
+ * canonicalSpecJson() in exp/result_io.h.
  */
 #ifndef SMARTINF_EXP_RUN_SPEC_H
 #define SMARTINF_EXP_RUN_SPEC_H
@@ -47,10 +49,11 @@ struct RunSpec {
     fault::FaultConfig fault;
 
     /**
-     * Deterministic FNV-1a hash over every result-affecting field,
-     * including the full Calibration block. Stable within one build of the
-     * library (not across field additions — by design: new knobs must
-     * invalidate cached results).
+     * Deterministic FNV-1a hash over canonicalSpecJson(): every
+     * result-affecting field, including the full Calibration block, and
+     * nothing else. Stable within one build of the library (not across
+     * field additions — by design: new knobs must invalidate cached
+     * results).
      */
     std::uint64_t hash() const;
 

@@ -31,7 +31,8 @@ namespace smartinf::fault {
 /**
  * Knobs of the fault process and of both recovery models. Every field here
  * affects simulated results when enabled and therefore joins the RunSpec
- * hash (src/exp/run_spec.cc) with semantic normalization: nothing is hashed
+ * hash through the canonical spec echo (canonicalSpecJson() in
+ * src/exp/result_io.cc) with semantic normalization: nothing is hashed
  * while disabled, retry knobs only under serving, checkpoint knobs only
  * under training, and each category's episode parameters only while that
  * category's MTBF is finite.

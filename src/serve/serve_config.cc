@@ -1,5 +1,7 @@
 #include "serve/serve_config.h"
 
+#include <cmath>
+
 #include "common/enum_names.h"
 #include "common/validation.h"
 
@@ -198,9 +200,10 @@ ServeConfig::validate() const
                      "arrival_rate must be positive", arrival_rate);
     } else {
         for (std::size_t i = 0; i < trace.size(); ++i) {
-            if (trace[i] < 0.0 || (i > 0 && trace[i] < trace[i - 1])) {
+            if (!std::isfinite(trace[i]) || trace[i] < 0.0 ||
+                (i > 0 && trace[i] < trace[i - 1])) {
                 errors.push_back(
-                    "trace arrivals must be non-negative and "
+                    "trace arrivals must be finite, non-negative and "
                     "non-decreasing");
                 break;
             }
@@ -241,11 +244,18 @@ ServeConfig::validate() const
                      "modulation.diurnal_amplitude must be in [0, 1) (the "
                      "instantaneous rate must stay positive)",
                      modulation.diurnal_amplitude);
-        if (modulation.diurnal_amplitude > 0.0)
+        if (modulation.diurnal_amplitude > 0.0) {
             requireField(errors, modulation.diurnal_period_s > 0.0,
                          "modulation.diurnal_period_s must be positive "
                          "when the diurnal component is armed",
                          modulation.diurnal_period_s);
+            // A non-finite phase makes the envelope NaN, and thinning
+            // would then reject every candidate forever.
+            requireField(errors, std::isfinite(modulation.diurnal_phase),
+                         "modulation.diurnal_phase must be finite when "
+                         "the diurnal component is armed",
+                         modulation.diurnal_phase);
+        }
         requireField(errors, modulation.burst_rate_multiplier >= 1.0,
                      "modulation.burst_rate_multiplier must be >= 1 "
                      "(bursts raise the rate; 1 disables them)",

@@ -5,8 +5,9 @@
  * with think time), per-request token counts (fixed or sampled from seeded
  * length distributions), the batch-scheduling policy, and the KV-cache
  * tiering model. Every field here affects the simulated result and
- * therefore participates in the RunSpec hash (src/exp/run_spec.cc) — add
- * new knobs there too, or cached results alias.
+ * therefore participates in the RunSpec hash through the canonical spec
+ * echo (canonicalSpecJson() in src/exp/result_io.cc) — add new knobs
+ * there too, or cached results alias.
  *
  * Determinism contract (applies to every knob in this file): configs are
  * consumed only (a) before the simulation starts, by

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "serve/inference_workload.h"
 #include "serve/metrics.h"
@@ -416,6 +417,17 @@ TEST(RequestSource, ModulationValidation)
     config = smallServe();
     config.modulation.enabled = true;
     config.modulation.burst_rate_multiplier = 0.5;
+    EXPECT_FALSE(config.validate().empty());
+
+    // A non-finite phase would make the thinning envelope NaN and reject
+    // every candidate forever.
+    config = smallServe();
+    config.modulation.enabled = true;
+    config.modulation.diurnal_amplitude = 0.5;
+    config.modulation.diurnal_period_s = 30.0;
+    config.modulation.diurnal_phase = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
+    config.modulation.diurnal_phase = std::numeric_limits<double>::quiet_NaN();
     EXPECT_FALSE(config.validate().empty());
 
     // Armed bursts need positive gap/duration means.

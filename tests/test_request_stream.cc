@@ -1,6 +1,8 @@
 /** @file Tests of deterministic request-arrival generation. */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "serve/request_stream.h"
 
 namespace smartinf::serve {
@@ -83,6 +85,11 @@ TEST(RequestStream, ValidationCatchesBadConfigs)
 
     ServeConfig bad_trace;
     bad_trace.trace = {1.0, 0.5}; // decreasing
+    EXPECT_FALSE(bad_trace.validate().empty());
+    // NaN compares false both ways, so it must be rejected explicitly.
+    bad_trace.trace = {0.0, std::numeric_limits<double>::quiet_NaN(), 1.0};
+    EXPECT_FALSE(bad_trace.validate().empty());
+    bad_trace.trace = {0.0, std::numeric_limits<double>::infinity()};
     EXPECT_FALSE(bad_trace.validate().empty());
 
     ServeConfig bad_tokens;
