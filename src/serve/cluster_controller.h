@@ -13,8 +13,9 @@
  * deterministic event callback (dispatch events, scheduler completions,
  * autoscale ticks), and all randomness comes from the one Rng(ctrlSeed)
  * consumed in that deterministic order. The controller only exists when
- * config.ctrl.enabled — disabled runs construct nothing and stay
- * byte-identical to the pre-control-plane build.
+ * config.ctrl.enabled — disabled runs construct nothing, route through
+ * InferenceWorkload::dispatch()'s skip-dead scan, and stay byte-identical
+ * to the pre-control-plane build.
  */
 #ifndef SMARTINF_SERVE_CLUSTER_CONTROLLER_H
 #define SMARTINF_SERVE_CLUSTER_CONTROLLER_H
@@ -41,12 +42,11 @@ class ClusterController
      * Pre-sim setup, called from InferenceWorkload::build() after the
      * schedulers exist: burns the priority draws (the first ctrl-stream
      * draws — one uniform per request, consumed at generation time by
-     * generateRequestStream()/RequestSource, so the dispatch draws below
-     * continue from the same stream position), activates the initial
-     * replica set, installs the step-time / idle hooks, and arms the
-     * first autoscale tick. @p expected is the total number of requests
-     * the run will dispose (ticks stop re-arming once all are accounted
-     * for).
+     * the RequestSource, so the dispatch draws below continue from the
+     * same stream position), activates the initial replica set, installs
+     * the step-time / idle hooks, and arms the first autoscale tick.
+     * @p expected is the total number of requests the run will dispose
+     * (ticks stop re-arming once all are accounted for).
      */
     void start(int expected);
 

@@ -1,7 +1,6 @@
 #include "serve/inference_workload.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,25 +8,6 @@
 #include "train/system_builder.h"
 
 namespace smartinf::serve {
-
-namespace {
-
-bool g_force_materialized = false;
-
-bool
-materializedGenerationForced()
-{
-    return g_force_materialized ||
-           std::getenv("SMARTINF_MATERIALIZED_STREAM") != nullptr;
-}
-
-} // namespace
-
-void
-InferenceWorkload::forceMaterializedGeneration(bool on)
-{
-    g_force_materialized = on;
-}
 
 InferenceWorkload::InferenceWorkload(const train::ModelSpec &model,
                                      ServeConfig config)
@@ -45,17 +25,10 @@ InferenceWorkload::issueSpec(train::SimContext &ctx, RequestSpec request,
     // Stamp the actual issue time (for closed loop it is reactive) so the
     // record's queueDelay/latency measure from submission.
     request.arrival = at;
-    if (config_.fault.enabled || ctrl_) {
-        // Failover / control-plane front door: the replica choice must see
-        // the fleet's state *at submission time* (a pre-bound scheduler
-        // could be dead, drained, or the longest queue by then).
-        ctx.sim.at(at,
-                   [this, &ctx, request]() { dispatch(ctx, request); });
-        return;
-    }
-    BatchScheduler *scheduler =
-        schedulers_[request.id % schedulers_.size()].get();
-    ctx.sim.at(at, [scheduler, request] { scheduler->submit(request); });
+    // The replica choice happens *at submission time*: under faults or
+    // the control plane a pre-bound scheduler could be dead, drained, or
+    // the longest queue by then.
+    ctx.sim.at(at, [this, &ctx, request]() { dispatch(ctx, request); });
 }
 
 void
@@ -64,19 +37,12 @@ InferenceWorkload::scheduleNextArrival(train::SimContext &ctx)
     if (source_->done())
         return;
     const RequestSpec request = source_->next();
-    // One timed event per arrival, exactly like the materialized
-    // pre-scheduled loop — the callback chains the next arrival before
-    // delivering this one, so at most one undelivered spec exists at any
-    // simulated moment.
+    // One timed event per arrival — the callback chains the next arrival
+    // before delivering this one, so at most one undelivered spec exists
+    // at any simulated moment.
     ctx.sim.at(request.arrival, [this, &ctx, request]() {
         scheduleNextArrival(ctx);
-        if (config_.fault.enabled || ctrl_) {
-            dispatch(ctx, request);
-        } else {
-            schedulers_[static_cast<std::size_t>(request.id) %
-                        schedulers_.size()]
-                ->submit(request);
-        }
+        dispatch(ctx, request);
     });
 }
 
@@ -111,9 +77,7 @@ InferenceWorkload::onRetire(train::SimContext &ctx,
         return; // this client's slice is exhausted
     client_next_[client] = next + clients;
     const Seconds at = record.finish + config_.think_time;
-    issueSpec(ctx,
-              streaming_ ? takeSpec(static_cast<int>(next)) : stream_[next],
-              at);
+    issueSpec(ctx, takeSpec(static_cast<int>(next)), at);
 }
 
 bool
@@ -390,14 +354,7 @@ InferenceWorkload::build(train::SimContext &ctx)
     SI_ASSERT(builders_.empty(), "InferenceWorkload::build called twice");
     const int nodes = ctx.system.num_nodes;
     stream_total_ = config_.streamSize();
-    // Streaming by default; trace mode keeps the materialized path (the
-    // arrival vector already exists in the config, and pre-scheduling
-    // preserves the insertion order of any exactly-tied trace arrivals).
-    streaming_ = config_.trace.empty() && !materializedGenerationForced();
-    if (streaming_)
-        source_ = std::make_unique<RequestSource>(config_);
-    else
-        stream_ = generateRequestStream(config_);
+    source_ = std::make_unique<RequestSource>(config_);
 
     for (int i = 0; i < nodes; ++i) {
         const std::string prefix = nodes > 1 ? train::nodePrefix(i) : "";
@@ -472,8 +429,8 @@ InferenceWorkload::build(train::SimContext &ctx)
                         onRetire(ctx, record);
                 });
 
-    // Deterministic front door: request i goes to replica i % N. The
-    // graph itself starts empty for this workload and grows reactively.
+    // Every request enters a replica through dispatch(). The graph itself
+    // starts empty for this workload and grows reactively.
     if (closed_loop) {
         // Client c owns requests {i : i ≡ c (mod concurrency)}, in id
         // order; each issues its first request at t = 0 and its next one
@@ -484,19 +441,21 @@ InferenceWorkload::build(train::SimContext &ctx)
         client_next_.assign(clients, 0);
         for (std::size_t c = 0; c < clients; ++c) {
             client_next_[c] = c + clients;
-            issueSpec(ctx,
-                      streaming_ ? takeSpec(static_cast<int>(c))
-                                 : stream_[c],
-                      0.0);
+            issueSpec(ctx, takeSpec(static_cast<int>(c)), 0.0);
         }
-    } else if (streaming_) {
-        // Open loop, streaming: chain arrivals one ahead — the arrival
-        // event for request i schedules request i+1's before submitting.
+    } else if (config_.trace.empty()) {
+        // Open loop: chain arrivals one ahead — the arrival event for
+        // request i schedules request i+1's before submitting.
         scheduleNextArrival(ctx);
     } else {
-        // Open loop / trace, materialized: pre-scheduled timed events.
-        for (std::size_t i = 0; i < stream_.size(); ++i)
-            issueSpec(ctx, stream_[i], stream_[i].arrival);
+        // Trace: arm every arrival up front. Exact ties are common in a
+        // trace, and arming early orders them ahead of any other event at
+        // the same instant (the event queue breaks time ties by insertion
+        // order). The trace is already in memory.
+        while (!source_->done()) {
+            const RequestSpec request = source_->next();
+            issueSpec(ctx, request, request.arrival);
+        }
     }
 }
 

@@ -2,25 +2,26 @@
  * @file
  * Inference serving as a Workload: a finite request stream served by
  * 1..N data-parallel replicas of the storage-offload substrate, all inside
- * one SimContext. Requests are sharded round-robin over the replicas (a
- * deterministic front door); each replica runs its own BatchScheduler and
- * InferenceBuilder with node-prefixed links, so N-node serving measures
- * true replica contention-free scaling while every node's internal PCIe
- * contention is still modeled. Runs on any engine via Engine::run() —
- * makeEngine's num_nodes dispatch works unchanged.
+ * one SimContext. Every request enters a replica through dispatch(): with
+ * faults and the control plane off its skip-dead scan starts at
+ * id % N and finds no dead replica, so the front door is a deterministic
+ * round-robin over the replicas. Each replica runs its own BatchScheduler
+ * and InferenceBuilder with node-prefixed links, so N-node serving
+ * measures true replica contention-free scaling while every node's
+ * internal PCIe contention is still modeled. Runs on any engine via
+ * Engine::run() — makeEngine's num_nodes dispatch works unchanged.
  *
- * Request generation is *streaming* by default: specs are drawn lazily
- * from the RequestSource (bit-identical to generateRequestStream by the
- * oracle tests), so memory is O(in-flight) rather than O(stream) — the
- * 10^5–10^6-request scenarios depend on this. Trace mode (the arrivals
- * already exist as a vector) and the SMARTINF_MATERIALIZED_STREAM /
- * forceMaterializedGeneration() overrides keep the materialized path,
- * which CI byte-compares against the streaming one.
+ * Request specs are drawn lazily from the RequestSource, so memory is
+ * O(in-flight) rather than O(stream) — the 10^5–10^6-request scenarios
+ * depend on this.
  *
  * Client modes:
- *  - OpenLoop: arrivals are timed events that submit into the schedulers
- *    regardless of server state (pre-scheduled when materialized; chained
- *    one-ahead when streaming — one timed event per arrival either way).
+ *  - OpenLoop: arrivals are timed events that dispatch into the
+ *    schedulers regardless of server state, chained one ahead (one timed
+ *    event per arrival). Trace arrivals are all armed up front instead:
+ *    exact ties are common in a trace, and arming early orders them
+ *    ahead of any other event at the same instant (the event queue breaks
+ *    time ties by insertion order).
  *  - ClosedLoop: a fixed population of config.concurrency clients, each
  *    owning the requests whose id ≡ client (mod concurrency), issues one
  *    request at a time: the scheduler's retire hook (which fires inside
@@ -62,26 +63,14 @@ class InferenceWorkload final : public train::Workload
 
     const ServeConfig &config() const { return config_; }
 
-    /**
-     * Test/CI hook: force the next builds to pre-materialize the request
-     * stream (generateRequestStream) instead of drawing lazily from the
-     * RequestSource. Result-inert by the oracle contract — both paths are
-     * bit-identical — so it never joins the RunSpec hash; the
-     * SMARTINF_MATERIALIZED_STREAM environment variable has the same
-     * effect (CI byte-compares the two). Process-global; tests restore it.
-     */
-    static void forceMaterializedGeneration(bool on);
-
   private:
     /** Issue @p request at simulated time @p at (stamps the record's
-     *  arrival and routes to the round-robin replica, or — with the
-     *  control plane or faults enabled — through dispatch()). */
+     *  arrival and arms a dispatch() event at that time). */
     void issueSpec(train::SimContext &ctx, RequestSpec request, Seconds at);
-    /** Streaming open loop: draw the next request and arm its arrival
-     *  event, which first chains the one after it (one timed event per
-     *  arrival, exactly like the materialized pre-scheduled loop). */
+    /** Open loop: draw the next request and arm its arrival event, which
+     *  first chains the one after it (one timed event per arrival). */
     void scheduleNextArrival(train::SimContext &ctx);
-    /** Streaming closed loop: the spec with @p id, drawing the source
+    /** Closed loop: the spec with @p id, drawing the source
      *  forward (parking other clients' specs in pending_) as needed. */
     RequestSpec takeSpec(int id);
     /** Closed-loop retirement: schedule the owning client's next request
@@ -111,8 +100,8 @@ class InferenceWorkload final : public train::Workload
      * from (id + attempt) % N. Faults add retry-limit / retry-timeout /
      * admission-depth shedding for retries; the control plane adds SLO
      * admission (reject/defer) for first attempts. Whole-fleet-down falls
-     * back to another backoff round (bounded by the retry limit). Shared
-     * by both front doors — it is also the single dispatch seam.
+     * back to another backoff round (bounded by the retry limit). The
+     * only path from a request to BatchScheduler::submit.
      */
     void dispatch(train::SimContext &ctx, const RequestSpec &request);
     /** Re-dispatch a displaced request: bump attempt, wait the linear
@@ -133,15 +122,11 @@ class InferenceWorkload final : public train::Workload
 
     train::ModelSpec model_;
     ServeConfig config_;
-    /** Materialized request list (trace mode and the materialized
-     *  override only; empty in streaming runs). */
-    std::vector<RequestSpec> stream_;
-    /** Lazy generator (streaming runs only; null when materialized). */
+    /** The request generator (the only one a run draws from). */
     std::unique_ptr<RequestSource> source_;
     /** Total requests this run disposes (== ServeConfig::streamSize()). */
     int stream_total_ = 0;
-    bool streaming_ = false;
-    /** Streaming closed loop: specs drawn past a slow client's cursor,
+    /** Closed loop: specs drawn past a slow client's cursor,
      *  parked until that client asks for them (bounded by the spread
      *  between the fastest and slowest client, not the stream). */
     std::map<int, RequestSpec> pending_;

@@ -7,8 +7,9 @@
  * a time — consumes each stream in exactly the order the materialized
  * passes do, so the sequence of RequestSpecs is bit-identical to the
  * vector by construction (and pinned by the test_request_source oracle
- * suite). This is what lets serving runs scale to 10^5–10^6 requests with
- * O(in-flight) memory: no pre-materialized stream vector exists at all.
+ * suite). It is the only generator a serving run draws from, which is
+ * what lets serving runs scale to 10^5–10^6 requests with O(in-flight)
+ * memory: no pre-materialized stream vector exists at all.
  */
 #ifndef SMARTINF_SERVE_REQUEST_SOURCE_H
 #define SMARTINF_SERVE_REQUEST_SOURCE_H
@@ -23,7 +24,7 @@ namespace smartinf::serve {
  * returns the spec the materialized generator would have placed at that
  * id. Trace arrivals are read from the config's trace verbatim;
  * closed-loop arrivals are 0 (reactive issue times, stamped by the
- * workload), exactly as in the materialized path.
+ * workload), exactly as in generateRequestStream().
  */
 class RequestSource
 {

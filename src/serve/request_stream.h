@@ -1,12 +1,14 @@
 /**
  * @file
  * Deterministic request generation. A request stream expands a ServeConfig
- * into the concrete request list *before* the simulation runs — all
- * randomness comes from the config's seeded xoshiro PRNGs (open-loop
- * exponential interarrivals; sampled prompt/output lengths) or from the
- * explicit trace, which is what makes serving runs a pure function of
- * their spec: same seed + spec => bit-identical request list =>
- * bit-identical latency records.
+ * into its concrete request list — all randomness comes from the config's
+ * seeded xoshiro PRNGs (open-loop exponential interarrivals; sampled
+ * prompt/output lengths) or from the explicit trace, and none of it
+ * depends on simulated state, which is what makes serving runs a pure
+ * function of their spec: same seed + spec => bit-identical request list
+ * => bit-identical latency records. Runs draw the list lazily through
+ * RequestSource (request_source.h); this header holds the shared pieces
+ * and the materialized reference generator.
  *
  * Two independent PRNG streams derive from ServeConfig::seed: arrivals
  * draw from Rng(seed) (exactly the pre-mix behavior), lengths from
@@ -111,8 +113,8 @@ class ArrivalProcess
 /**
  * One sample from @p dist: the @p fixed_tokens scalar for Fixed (drawing
  * nothing from @p rng), otherwise an integer in
- * [dist.min_tokens, dist.max_tokens]. Pre-sim randomness only — callers
- * are generateRequestStream() and tests.
+ * [dist.min_tokens, dist.max_tokens]. Request-generation randomness only
+ * — callers are RequestSource, generateRequestStream() and tests.
  */
 int sampleLength(Rng &rng, const LengthDistribution &dist, int fixed_tokens);
 
@@ -127,6 +129,11 @@ int sampleLength(Rng &rng, const LengthDistribution &dist, int fixed_tokens);
  * the prefix stream; priority classes (when the control plane runs a
  * priority mix) from the ctrl stream, one uniform per request in id
  * order. Arrivals are non-decreasing; ids are stream positions.
+ *
+ * No run-time caller: InferenceWorkload draws from RequestSource. This is
+ * the pass-order reference — each pass consumes its own stream for the
+ * whole list — that the generator-level RequestSource oracles
+ * (test_request_source) and test_request_stream compare against.
  */
 std::vector<RequestSpec> generateRequestStream(const ServeConfig &config);
 

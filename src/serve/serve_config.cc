@@ -187,8 +187,8 @@ ServeConfig::validate() const
         requireField(errors, concurrency >= 1,
                      "concurrency must be >= 1 in closed-loop mode",
                      concurrency);
-        requireField(errors, think_time >= 0.0,
-                     "think_time must be >= 0", think_time);
+        requireField(errors, think_time >= 0.0 && std::isfinite(think_time),
+                     "think_time must be finite and >= 0", think_time);
         requireField(errors, trace.empty(),
                      "a trace cannot drive closed-loop clients (arrivals "
                      "are reactive); clear trace or use open-loop mode",
@@ -196,8 +196,10 @@ ServeConfig::validate() const
     } else if (trace.empty()) {
         requireField(errors, num_requests >= 1,
                      "num_requests must be >= 1", num_requests);
-        requireField(errors, arrival_rate > 0.0,
-                     "arrival_rate must be positive", arrival_rate);
+        requireField(errors,
+                     arrival_rate > 0.0 && std::isfinite(arrival_rate),
+                     "arrival_rate must be positive and finite",
+                     arrival_rate);
     } else {
         for (std::size_t i = 0; i < trace.size(); ++i) {
             if (!std::isfinite(trace[i]) || trace[i] < 0.0 ||
@@ -256,9 +258,11 @@ ServeConfig::validate() const
                          "the diurnal component is armed",
                          modulation.diurnal_phase);
         }
-        requireField(errors, modulation.burst_rate_multiplier >= 1.0,
-                     "modulation.burst_rate_multiplier must be >= 1 "
-                     "(bursts raise the rate; 1 disables them)",
+        requireField(errors,
+                     modulation.burst_rate_multiplier >= 1.0 &&
+                         std::isfinite(modulation.burst_rate_multiplier),
+                     "modulation.burst_rate_multiplier must be finite and "
+                     ">= 1 (bursts raise the rate; 1 disables them)",
                      modulation.burst_rate_multiplier);
         if (modulation.burst_rate_multiplier > 1.0) {
             requireField(errors, modulation.burst_mean_gap_s > 0.0,

@@ -10,10 +10,10 @@
  * there too, or cached results alias.
  *
  * Determinism contract (applies to every knob in this file): configs are
- * consumed only (a) before the simulation starts, by
- * generateRequestStream() — which draws *all* randomness up front from the
- * seeded PRNG — or (b) inside deterministic event callbacks, on state that
- * is a pure function of the stream and the spec. Nothing here may read
+ * consumed only (a) by the request generator (RequestSource), whose draws
+ * come from the seeded PRNG streams in request-id order regardless of
+ * simulated state, or (b) inside deterministic event callbacks, on state
+ * that is a pure function of the stream and the spec. Nothing here may read
  * wall-clock time, thread ids, or any other run-environment state, which
  * is what keeps serving records bit-identical across repeats, `--jobs`
  * counts, and build types.
@@ -116,7 +116,7 @@ std::vector<LengthDistKind> allLengthDistKinds();
 
 /**
  * A per-request token-length distribution (prompt or output). All samples
- * are drawn *before* the simulation by generateRequestStream(), from a
+ * are drawn by the request generator in request-id order, from a
  * PRNG stream derived from ServeConfig::seed that is separate from the
  * arrival stream — so enabling sampled lengths never perturbs the arrival
  * times, and Fixed (the default) draws nothing at all, keeping default

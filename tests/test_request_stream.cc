@@ -82,6 +82,17 @@ TEST(RequestStream, ValidationCatchesBadConfigs)
     EXPECT_TRUE(config.validate().empty());
     config.arrival_rate = 0.0;
     EXPECT_FALSE(config.validate().empty());
+    config.arrival_rate = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.validate().empty());
+
+    // A closed-loop client that thinks forever issues its next request at
+    // t = inf: the run would end at makespan inf with arrivals stamped inf.
+    ServeConfig bad_think;
+    bad_think.client_mode = ClientMode::ClosedLoop;
+    bad_think.think_time = 0.5;
+    EXPECT_TRUE(bad_think.validate().empty());
+    bad_think.think_time = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(bad_think.validate().empty());
 
     ServeConfig bad_trace;
     bad_trace.trace = {1.0, 0.5}; // decreasing
