@@ -1,5 +1,7 @@
 #include "ctrl/ctrl_config.h"
 
+#include <cmath>
+
 #include "common/enum_names.h"
 #include "common/validation.h"
 
@@ -63,10 +65,12 @@ SloConfig::validate() const
                  "control is armed (it is the SLO being admitted against)",
                  target_p99_s);
     if (admission == AdmissionMode::Defer) {
-        requireField(errors, defer_delay_s > 0.0,
-                     "ctrl.slo.defer_delay_s must be positive under Defer "
-                     "(a zero delay would re-try admission in the same "
-                     "instant it just failed)",
+        requireField(errors,
+                     std::isfinite(defer_delay_s) && defer_delay_s > 0.0,
+                     "ctrl.slo.defer_delay_s must be positive and finite "
+                     "under Defer (a zero delay would re-try admission in "
+                     "the same instant it just failed, an infinite one "
+                     "never)",
                      defer_delay_s);
         requireField(errors, max_defers >= 1,
                      "ctrl.slo.max_defers must be >= 1 under Defer (use "

@@ -87,7 +87,7 @@ struct SloConfig {
      *  for the windowed SLO-attainment signal (autoscaling, metrics). */
     Seconds target_p99_s = 0.0;
     /** Defer mode: how long a deferred request waits before re-trying
-     *  admission (hashed only under Defer). */
+     *  admission; positive and finite (hashed only under Defer). */
     Seconds defer_delay_s = 0.5;
     /** Defer mode: defers allowed before the request is rejected. */
     int max_defers = 4;

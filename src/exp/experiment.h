@@ -9,10 +9,20 @@
  * SystemConfig — the whole point of the redesign: no call site can silently
  * drop fields the way the old bench_util::runIteration default-constructed
  * num_nodes/congested_topology.
+ *
+ * The axes live in one table ordered by nesting rank; each setter fills
+ * its slot with one closure per swept value. Several axes only shape a
+ * result under some mode of the base config (the "needs X" notes below).
+ * build() enforces those conditions generically: an axis of two or more
+ * values whose specs collapse onto one RunSpec::hash() wherever only it
+ * varies sweeps a knob the canonical spec echo ignores, and is refused
+ * with the setter's name. One live group suffices, so an axis may be
+ * inert for part of the sweep (compression ratios next to BASE rows).
  */
 #ifndef SMARTINF_EXP_EXPERIMENT_H
 #define SMARTINF_EXP_EXPERIMENT_H
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -89,8 +99,9 @@ class ExperimentBuilder
     ExperimentBuilder &
     dispatchPolicies(std::vector<ctrl::DispatchPolicy> ps);
     /** Sweep serve.ctrl.slo.admission (SLO admission mode). The serving()
-     *  base config must have ctrl.enabled and a positive
-     *  ctrl.slo.target_p99_s, or the non-Off modes cannot validate. */
+     *  base config must have ctrl.enabled set, or the axis is inert, and
+     *  a positive ctrl.slo.target_p99_s, or the non-Off modes fail
+     *  ServeConfig::validate() when they run. */
     ExperimentBuilder &admissionModes(std::vector<ctrl::AdmissionMode> ms);
     /** Sweep serve.ctrl.slo.target_p99_s (latency SLO, seconds). The
      *  serving() base config must have SLO admission armed
@@ -131,42 +142,34 @@ class ExperimentBuilder
      * weightWireFractions, outputTokenCounts, hbmBudgets, concurrencies,
      * blockTokens, prefixShareFractions, dispatchPolicies,
      * admissionModes, sloTargets, mtbfs, checkpointIntervals,
-     * retryPolicies. Labels default to RunSpec::describe().
+     * retryPolicies — by rank, whatever order the setters ran in.
+     * Labels default to RunSpec::describe(). Throws when no model is set
+     * or when a multi-valued axis is inert for every spec (see the file
+     * comment).
      */
     std::vector<RunSpec> build() const;
 
   private:
+    /** One sweep axis: the setter that last filled it (named by the
+     *  inert-axis refusal) and one closure per swept value, each writing
+     *  that value into a spec. No values: the seeded base value stands. */
+    struct Axis {
+        const char *setter = nullptr;
+        std::vector<std::function<void(RunSpec &)>> values;
+    };
+
+    /** Fill axis @p rank with @p values, each applied by @p write. */
+    template <typename T, typename Write>
+    ExperimentBuilder &sweep(int rank, const char *setter,
+                             const std::vector<T> &values, Write write);
+
     train::SystemConfig base_;
     train::WorkloadKind workload_ = train::WorkloadKind::Training;
     serve::ServeConfig serve_base_;
-    std::vector<train::TrainConfig> trains_;
-    std::vector<train::ModelSpec> models_;
-    std::vector<train::Strategy> strategies_;
-    std::vector<int> devices_;
-    std::vector<train::GpuGrade> gpus_;
-    std::vector<int> num_gpus_;
-    std::vector<int> nodes_;
-    std::vector<optim::OptimizerKind> optimizers_;
-    std::vector<double> comp_fractions_;
-    std::vector<bool> overlap_;
-    std::vector<train::Calibration> calibs_;
-    std::vector<serve::SchedulerPolicy> schedulers_;
-    std::vector<double> arrival_rates_;
-    std::vector<int> max_batches_;
-    std::vector<double> weight_fractions_;
-    std::vector<int> output_token_counts_;
-    std::vector<double> hbm_budgets_;
-    std::vector<int> concurrencies_;
-    std::vector<int> block_tokens_;
-    std::vector<double> prefix_share_fractions_;
-    std::vector<ctrl::DispatchPolicy> dispatch_policies_;
-    std::vector<ctrl::AdmissionMode> admission_modes_;
-    std::vector<double> slo_targets_;
     fault::FaultConfig fault_base_;
-    std::vector<double> mtbfs_;
-    std::vector<int> checkpoint_intervals_;
-    std::vector<int> retry_limits_;
     std::optional<bool> congested_;
+    /** Indexed by nesting rank, outermost first. */
+    std::vector<Axis> axes_;
 };
 
 } // namespace smartinf::exp

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ctrl/ctrl_config.h"
 #include "fault/fault_schedule.h"
 #include "serve/serve_config.h"
@@ -77,6 +79,12 @@ TEST(CtrlConfig, ValidationCatchesBadKnobs)
     EXPECT_FALSE(c.validate().empty());
     c.slo.max_defers = 2;
     EXPECT_TRUE(c.validate().empty());
+    // An infinite or NaN delay never re-tries a deferred request.
+    c.slo.defer_delay_s = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(c.validate().empty());
+    c.slo.defer_delay_s = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(c.validate().empty());
+    c.slo.defer_delay_s = 0.5;
 
     // Autoscale needs a hysteretic band and a sane replica range.
     c.autoscale.enabled = true;

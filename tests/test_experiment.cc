@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "exp/experiment.h"
 
@@ -213,6 +214,54 @@ TEST(ExperimentBuilder, ModeGatedAxesNeedTheirModeEnabled)
                        .hbmBudgets({GiB(1.0), GiB(4.0)});
     EXPECT_THROW(kv_axis.build(), std::runtime_error);
 
+    // The refusal names the setter whose knob the canonical echo drops.
+    auto expectRefusal = [](const ExperimentBuilder &builder,
+                            const std::string &setter) {
+        try {
+            builder.build();
+            ADD_FAILURE() << setter << " axis built without a refusal";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(setter + "()"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectRefusal(closed_axis, "concurrencies");
+    expectRefusal(kv_axis, "hbmBudgets");
+
+    // The paged allocator's shape is inert on the contiguous layout, the
+    // dispatch policy and admission mode while ctrl is off, and the SLO
+    // target while admission is Off.
+    serve::ServeConfig contiguous = open_loop;
+    contiguous.kv.enabled = true;
+    expectRefusal(ExperimentBuilder()
+                      .model(ModelSpec::gpt2(0.5))
+                      .serving(contiguous)
+                      .blockTokens({16, 32}),
+                  "blockTokens");
+    expectRefusal(ExperimentBuilder()
+                      .model(ModelSpec::gpt2(0.5))
+                      .serving(contiguous)
+                      .prefixShareFractions({0.0, 0.5}),
+                  "prefixShareFractions");
+    expectRefusal(ExperimentBuilder()
+                      .model(ModelSpec::gpt2(0.5))
+                      .serving(open_loop)
+                      .dispatchPolicies(ctrl::allDispatchPolicies()),
+                  "dispatchPolicies");
+    expectRefusal(ExperimentBuilder()
+                      .model(ModelSpec::gpt2(0.5))
+                      .serving(open_loop)
+                      .admissionModes(ctrl::allAdmissionModes()),
+                  "admissionModes");
+    serve::ServeConfig ctrl_on = open_loop;
+    ctrl_on.ctrl.enabled = true;
+    expectRefusal(ExperimentBuilder()
+                      .model(ModelSpec::gpt2(0.5))
+                      .serving(ctrl_on)
+                      .sloTargets({1.0, 2.0}),
+                  "sloTargets");
+
     // With the modes enabled both axes expand normally.
     serve::ServeConfig closed = open_loop;
     closed.client_mode = serve::ClientMode::ClosedLoop;
@@ -232,6 +281,72 @@ TEST(ExperimentBuilder, ModeGatedAxesNeedTheirModeEnabled)
                   .build()
                   .size(),
               2u);
+}
+
+TEST(ExperimentBuilder, AnAxisNeedsToBeLiveForOneSpecOnly)
+{
+    // The ratio is inert under BASE but shapes SU+O+C: the sweep expands
+    // fully and the two BASE rows share one cache entry.
+    const auto specs =
+        ExperimentBuilder()
+            .model(ModelSpec::gpt2(1.0))
+            .strategies({Strategy::Baseline, Strategy::SmartUpdateOptComp})
+            .compressionFractions({0.1, 0.05})
+            .build();
+    ASSERT_EQ(specs.size(), 4u);
+    EXPECT_EQ(specs[0].system.strategy, Strategy::Baseline);
+    EXPECT_EQ(specs[1].system.strategy, Strategy::Baseline);
+    EXPECT_EQ(specs[0].hash(), specs[1].hash());
+    EXPECT_NE(specs[2].hash(), specs[3].hash());
+
+    // A single-valued axis cannot alias two specs, inert or not.
+    EXPECT_EQ(ExperimentBuilder()
+                  .model(ModelSpec::gpt2(0.5))
+                  .arrivalRates({0.1})
+                  .build()
+                  .size(),
+              1u);
+}
+
+TEST(ExperimentBuilder, NestingOrderIgnoresCallOrder)
+{
+    const auto devices_first =
+        ExperimentBuilder()
+            .model(ModelSpec::gpt2(1.0))
+            .devices({4, 8})
+            .strategies({Strategy::Baseline, Strategy::SmartUpdateOpt})
+            .build();
+    const auto strategies_first =
+        ExperimentBuilder()
+            .model(ModelSpec::gpt2(1.0))
+            .strategies({Strategy::Baseline, Strategy::SmartUpdateOpt})
+            .devices({4, 8})
+            .build();
+    ASSERT_EQ(devices_first.size(), strategies_first.size());
+    for (std::size_t i = 0; i < devices_first.size(); ++i) {
+        EXPECT_EQ(devices_first[i].hash(), strategies_first[i].hash());
+        EXPECT_EQ(devices_first[i].label, strategies_first[i].label);
+    }
+    // strategies outer, devices inner, as documented.
+    EXPECT_EQ(devices_first[1].system.strategy, Strategy::Baseline);
+    EXPECT_EQ(devices_first[1].system.num_devices, 8);
+}
+
+TEST(ExperimentBuilder, AdmissionWithoutATargetFailsAtRunTime)
+{
+    // Ctrl on makes the admission axis live, so build() expands it; the
+    // missing SLO target is ServeConfig::validate()'s to report.
+    serve::ServeConfig config;
+    config.ctrl.enabled = true;
+    const auto specs = ExperimentBuilder()
+                           .model(ModelSpec::gpt2(0.5))
+                           .serving(config)
+                           .admissionModes({ctrl::AdmissionMode::Off,
+                                            ctrl::AdmissionMode::Reject})
+                           .build();
+    ASSERT_EQ(specs.size(), 2u);
+    EXPECT_TRUE(specs[0].serve.validate().empty());
+    EXPECT_FALSE(specs[1].serve.validate().empty());
 }
 
 TEST(ExperimentBuilder, FaultAxesSweepTheFaultConfig)
