@@ -12,7 +12,7 @@
  *   smartinf_bench --scenario fig09 --format json --jobs 8
  *   smartinf_bench --all --format csv --out results.csv
  */
-#include <cstring>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -23,7 +23,6 @@
 #include "exp/result_io.h"
 #include "exp/scenario.h"
 #include "obs/observation.h"
-#include "perf/perf_harness.h"
 
 using namespace smartinf;
 
@@ -36,9 +35,6 @@ usage(std::ostream &os, int code)
           "  --list            list registered scenarios and exit\n"
           "  --scenario NAME   run scenario NAME (repeatable)\n"
           "  --all             run every registered scenario\n"
-          "  --perf            run the tracked perf benchmark instead of\n"
-          "                    scenarios and emit its JSON (see --out);\n"
-          "                    the repo's BENCH_*.json trajectory format\n"
           "  --format FORMAT   text (aligned tables), json (full\n"
           "                    structure), csv (tables), or records-csv\n"
           "                    (one flat line per engine run across all\n"
@@ -58,7 +54,7 @@ usage(std::ostream &os, int code)
           "                    ...) as CSV to FILE; same forcing as\n"
           "                    --trace\n"
           "  --metrics-window S  counter window width in simulated\n"
-          "                    seconds (default: 1.0)\n";
+          "                    seconds, finite and positive (default: 1.0)\n";
     return code;
 }
 
@@ -86,7 +82,6 @@ int
 main(int argc, char **argv)
 {
     bool list = false, all = false, no_cache = false, quiet = false;
-    bool perf = false;
     std::string format = "text", out_path;
     obs::ObservationOptions obs_options;
     std::vector<std::string> names;
@@ -109,8 +104,6 @@ main(int argc, char **argv)
             names.push_back(value("--scenario"));
         } else if (arg == "--all") {
             all = true;
-        } else if (arg == "--perf") {
-            perf = true;
         } else if (arg == "--format") {
             format = value("--format");
         } else if (arg == "--jobs") {
@@ -138,7 +131,8 @@ main(int argc, char **argv)
             } catch (const std::exception &) {
                 obs_options.metrics_window = 0.0;
             }
-            if (obs_options.metrics_window <= 0.0) {
+            if (!std::isfinite(obs_options.metrics_window) ||
+                obs_options.metrics_window <= 0.0) {
                 std::cerr << "bad --metrics-window value: " << v << "\n";
                 return usage(std::cerr, 2);
             }
@@ -178,26 +172,6 @@ main(int argc, char **argv)
     if (list) {
         for (const auto *s : registry.all())
             std::cout << s->name << "\t" << s->title << "\n";
-        return 0;
-    }
-    if (perf) {
-        const auto samples = bench::runPerfCases();
-        std::ofstream perf_file;
-        if (!out_path.empty()) {
-            perf_file.open(out_path);
-            if (!perf_file) {
-                std::cerr << "cannot open " << out_path << " for writing\n";
-                return 1;
-            }
-        }
-        bench::writePerfJson(out_path.empty() ? std::cout : perf_file,
-                             samples);
-        if (!quiet)
-            bench::writePerfText(std::cerr, samples);
-        if (observation && !observation->writeOutputs()) {
-            std::cerr << "cannot write --trace/--metrics output\n";
-            return 1;
-        }
         return 0;
     }
     if (all)

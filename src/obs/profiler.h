@@ -16,9 +16,9 @@
  *    multiple-counted sum.
  *
  * Not thread-safe by design: enable() is only meant for single-threaded
- * measurement runs (the perf harness runs with jobs=1). The enabled flag
- * itself is atomic so a stray reader on another thread sees a clean
- * false and records nothing.
+ * measurement runs (perfbench's traced samples run one engine at a
+ * time). The enabled flag itself is atomic so a stray reader on another
+ * thread sees a clean false and records nothing.
  */
 #ifndef SMARTINF_OBS_PROFILER_H
 #define SMARTINF_OBS_PROFILER_H

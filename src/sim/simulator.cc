@@ -7,7 +7,7 @@ namespace smartinf::sim {
 Seconds
 Simulator::run()
 {
-    // The profiled loop exists so `smartinf_bench --perf` can attribute
+    // The profiled loop exists so perfbench's traced samples can attribute
     // host wall time to event dispatch; checking enablement once per run
     // keeps the common (unprofiled) loop free of clock reads.
     if (obs::Profiler::instance().enabled()) {

@@ -227,8 +227,8 @@ struct WorkloadResult {
     TrafficLedger traffic;
     /** Workload makespan (== phases.total() for training). */
     Seconds iteration_time = 0.0;
-    /** Discrete events the simulator executed — the denominator of the
-     *  perf harness's events/sec metric. */
+    /** Discrete events the simulator executed — the numerator of the
+     *  benchmark's events/sec metric. */
     uint64_t events_executed = 0;
 
     /** @name Serving only (empty/zero for training). @{ */

@@ -8,6 +8,15 @@
  * generation, the record cap, and task-graph prefix trimming, this run
  * would materialize 10^5 request specs, 10^5 retired records, and a
  * multi-million-task graph; with them, peak memory is O(in-flight).
+ *
+ * The run is also the `serve_stream_100k` tracked case, so its exact event
+ * count and makespan are pinned here beside the pin table in
+ * test_obs_pinned.cc (the makespan as a hex-float literal; BENCH_PR12.json
+ * printed 12558.187324).
+ *
+ * Under AddressSanitizer, shadow memory and the free quarantine grow the
+ * high-water mark by hundreds of MiB whatever the stream holds, so that
+ * build asserts a separately stated, measured bound instead.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +25,14 @@
 #include "serve/inference_workload.h"
 #include "serve/metrics.h"
 #include "train/engine.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SMARTINF_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SMARTINF_ASAN 1
+#endif
+#endif
 
 namespace smartinf::serve {
 namespace {
@@ -32,10 +49,17 @@ peakRssKb()
 TEST(ServeStreamStress, HundredThousandRequestsStayUnderTheRssCeiling)
 {
     constexpr int kRequests = 100000;
+#ifdef SMARTINF_ASAN
+    // ASan+UBSan (RelWithDebInfo, GCC 12) measured a 525,560 KiB delta:
+    // shadow memory and the free quarantine, not retained records. The
+    // bound is 1.5x that, for allocator and compiler variation.
+    constexpr long kCeilingKb = 768 * 1024;
+#else
     // Generous versus the ~5 MiB the run actually peaks at, tight versus
     // the hundreds of MiB that O(stream) record vectors and an untrimmed
     // task graph would cost at this request count.
     constexpr long kCeilingKb = 64 * 1024;
+#endif
 
     const auto model = train::ModelSpec::gpt2(0.5);
     train::SystemConfig system;
@@ -70,7 +94,8 @@ TEST(ServeStreamStress, HundredThousandRequestsStayUnderTheRssCeiling)
     EXPECT_EQ(static_cast<int>(result.requests.size()), 4096);
     EXPECT_FALSE(metrics.percentiles_exact); // 10^5 > the 4096 cap
     EXPECT_GT(metrics.latency.p99, 0.0);
-    EXPECT_GT(result.events_executed, 10u * kRequests);
+    EXPECT_EQ(result.events_executed, 28758616u);
+    EXPECT_EQ(result.iteration_time, 0x1.88717fa3cac8bp+13);
 }
 
 } // namespace
